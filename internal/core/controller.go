@@ -457,6 +457,7 @@ func (c *Controller) refreshLocked(dt *DynamicTable, dataTS time.Time, root *tra
 		FullWindowRecompute: c.FullWindowRecompute,
 		Columnar:            c.Columnar,
 		Span:                spanHook(root),
+		AggState:            &dt.aggs,
 	}
 
 	if !dt.Initialized() || evolved {
@@ -500,6 +501,9 @@ func (c *Controller) refreshLocked(dt *DynamicTable, dataTS time.Time, root *tra
 	if !changed {
 		rec.Action = ActionNoData
 		rec.RowsAfter = dt.Storage.RowCount()
+		// No input changed, so aggregate state at the old frontier also
+		// describes the new one.
+		dt.aggs.Retag(frontier.Versions, vmTo)
 		c.advanceFrontier(dt, bound, dataTS, vmTo, int64(dt.Storage.VersionCount()), hlc.Zero)
 		return rec, nil
 	}
@@ -517,7 +521,10 @@ func (c *Controller) refreshLocked(dt *DynamicTable, dataTS time.Time, root *tra
 		return c.fullCompute(dt, bound, dataTS, vmTo, env, rec)
 	}
 
-	// INCREMENTAL: differentiate over the frontier interval.
+	// INCREMENTAL: differentiate over the frontier interval. Delta stages
+	// aggregate-state updates; they are installed only once the merge
+	// commits and dropped on every other exit.
+	defer dt.aggs.Discard()
 	cs, err := ivm.Delta(bound.Plan, ivm.Interval{From: frontier.Versions, To: vmTo}, env)
 	if errors.Is(err, ivm.ErrSourceOverwritten) {
 		// An upstream replace/overwrite invalidates stored results (§3.3.2).
@@ -564,6 +571,7 @@ func (c *Controller) refreshLocked(dt *DynamicTable, dataTS time.Time, root *tra
 	if err != nil {
 		return rec, err
 	}
+	dt.aggs.Install()
 	rec.RowsAfter = dt.Storage.RowCount()
 	c.advanceFrontier(dt, bound, dataTS, vmTo, int64(dt.Storage.VersionCount()), commit)
 	return rec, nil
@@ -656,6 +664,7 @@ func (c *Controller) StaticMode(dt *DynamicTable, declared sql.RefreshMode) (sql
 // fullCompute executes the defining query as of the data timestamp and
 // overwrites the DT's contents (FULL / INITIALIZE / REINITIALIZE actions).
 func (c *Controller) fullCompute(dt *DynamicTable, bound *plan.Bound, dataTS time.Time, vmTo ivm.VersionMap, env *ivm.Env, rec RefreshRecord) (RefreshRecord, error) {
+	dt.aggs.Clear()
 	rows, err := ivm.EvalAsOf(bound.Plan, vmTo, env)
 	if err != nil {
 		return rec, err

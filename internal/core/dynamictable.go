@@ -171,6 +171,11 @@ type DynamicTable struct {
 	deps map[int64]int64
 	// schemaFingerprint detects output schema changes from upstream DDL.
 	schemaFingerprint string
+	// aggs is the per-group state of the plan's foldable aggregates
+	// (ivm.AggState). It is touched only under the refresh lock, is not
+	// persisted, and is rebuilt by the first incremental refresh after
+	// creation, recovery or a full recompute.
+	aggs ivm.AggState
 
 	// adaptiveMode is the adaptive chooser's sticky per-DT decision for
 	// REFRESH_MODE=AUTO DTs (RefreshAuto = no decision yet, i.e. the
@@ -618,6 +623,7 @@ func (dt *DynamicTable) RestoreState(cp DTCheckpoint) {
 	dt.initialized = cp.Initialized
 	dt.errorCount = cp.ErrorCount
 	dt.frontier = cp.Frontier.Clone()
+	dt.aggs.Clear()
 	dt.deps = cloneDeps(cp.Deps)
 	dt.schemaFingerprint = cp.SchemaFingerprint
 	dt.versionByDataTS = make(map[int64]int64, len(cp.VersionByDataTS))
@@ -640,6 +646,7 @@ func (dt *DynamicTable) ApplyFrontierUpdate(u FrontierUpdate) {
 	dt.mu.Lock()
 	defer dt.mu.Unlock()
 	dt.frontier = Frontier{DataTS: u.DataTS, Versions: u.Versions.Clone()}
+	dt.aggs.Clear()
 	dt.deps = cloneDeps(u.Deps)
 	dt.schemaFingerprint = u.SchemaFingerprint
 	dt.versionByDataTS[u.DataTS.UnixMicro()] = u.VersionSeq

@@ -7,6 +7,12 @@
 // result and every refreshed DT's contents are canonicalized and
 // byte-compared; any divergence is a bug in one of the paths.
 //
+// Both engines maintain their DTs the same way (folding aggregate
+// deltas, recomputing affected groups), so after every tick each DT is
+// also checked against a full evaluation of its defining query (delayed
+// view semantics), its refresh history must move forward, and its lag
+// must be within target.
+//
 // The harness runs in CI under the race detector via the package tests;
 // a failing seed is reproducible with RunSeed alone.
 package difftest
@@ -19,6 +25,8 @@ import (
 	"time"
 
 	"dyntables"
+	"dyntables/internal/core"
+	"dyntables/internal/sql"
 	"dyntables/internal/types"
 )
 
@@ -85,9 +93,9 @@ type gen struct {
 }
 
 // Generate builds the deterministic workload for a seed: 2-3 tables with
-// random column sets, a DT layer (filter/projection, join, aggregate and
-// a stacked DT-over-DT), and steps interleaved churn, parameterized
-// queries and scheduler ticks.
+// random column sets (non-key columns sometimes NULL), a DT layer
+// (filter/projection, join, aggregates and stacked DT-over-DTs), and
+// steps interleaved churn, parameterized queries and scheduler ticks.
 func Generate(seed int64, steps int) *Script {
 	g := &gen{rng: rand.New(rand.NewSource(seed)), script: &Script{}}
 	g.genTables()
@@ -174,7 +182,11 @@ func (g *gen) insertSQL(t *table, rows int) string {
 		parts[0] = fmt.Sprintf("%d", t.nextID)
 		t.nextID++
 		for j := 1; j < len(t.cols); j++ {
-			parts[j] = g.literal(t.cols[j].kind)
+			if g.rng.Intn(8) == 0 {
+				parts[j] = "NULL"
+			} else {
+				parts[j] = g.literal(t.cols[j].kind)
+			}
 		}
 		vals = append(vals, "("+strings.Join(parts, ", ")+")")
 	}
@@ -221,13 +233,24 @@ func (g *gen) genDTs() {
 		"SELECT a.id AS aid, b.id AS bid, a.%s AS av FROM %s a JOIN %s b ON a.id %% %d = b.id %% %d AND a.id < b.id",
 		g.intCol(t0), t0.name, t1.name, m, m))
 
-	// Aggregate DT with a modular group key.
+	// Aggregate DT with a modular group key; MIN keeps it on the
+	// recompute-affected-groups rule.
 	add("dt_agg", fmt.Sprintf(
 		"SELECT id %% %d AS grp, COUNT(*) AS n, SUM(%s) AS s, MIN(id) AS lo FROM %s GROUP BY ALL",
 		2+g.rng.Intn(5), g.intCol(t1), t1.name))
 
-	// Stacked DT: a DT reading another DT (refresh DAG).
+	// Foldable aggregate DT over a nullable column.
+	c := g.intCol(t0)
+	add("dt_fold", fmt.Sprintf(
+		"SELECT id %% %d AS grp, COUNT(*) AS n, COUNT(%s) AS nn, COUNT_IF(%s > %d) AS pos, SUM(%s) AS s FROM %s GROUP BY ALL",
+		2+g.rng.Intn(5), c, c, g.rng.Intn(60), c, t0.name))
+
+	// Stacked DTs: a DT reading another DT (refresh DAG), and a foldable
+	// aggregate whose input delta is dt_agg's delete+insert pairs.
 	add("dt_top", fmt.Sprintf("SELECT grp, n, s FROM dt_agg WHERE n > %d", g.rng.Intn(3)))
+	add("dt_regroup", fmt.Sprintf(
+		"SELECT n %% %d AS m, COUNT(*) AS k, SUM(s) AS ss, COUNT(s) AS sn FROM dt_agg GROUP BY ALL",
+		2+g.rng.Intn(3)))
 }
 
 func (g *gen) genDML() {
@@ -429,7 +452,72 @@ func RunSeed(seed int64, steps int) error {
 			if a != b {
 				return fmt.Errorf("difftest: step %d DT contents divergence after tick:\ncolumnar:\n%s\nlegacy:\n%s", i, a, b)
 			}
+			for _, e := range []*dyntables.Engine{p.columnar, p.legacy} {
+				if err := checkDTs(e, script.DTs, step.Advance); err != nil {
+					return fmt.Errorf("difftest: step %d: %w", i, err)
+				}
+			}
 		}
+	}
+	return nil
+}
+
+// checkDTs runs the per-tick checks of every DT: contents equal the
+// defining query as of the data timestamp (delayed view semantics),
+// successful refreshes carry strictly increasing data timestamps, and
+// the lag is within the target plus one tick of slack.
+func checkDTs(e *dyntables.Engine, names []string, slack time.Duration) error {
+	for _, name := range names {
+		if err := e.CheckDVS(name); err != nil {
+			return err
+		}
+		dt, err := e.DynamicTableHandle(name)
+		if err != nil {
+			return err
+		}
+		if err := monotoneHistory(dt); err != nil {
+			return err
+		}
+		if err := lagWithinTarget(dt, e.Now(), slack); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// monotoneHistory checks that successful refreshes carry strictly
+// increasing data timestamps — the forward movement delayed view
+// semantics requires (§3.1.1). A NO_DATA re-refresh at the same
+// timestamp is permitted.
+func monotoneHistory(dt *core.DynamicTable) error {
+	var last time.Time
+	for i, rec := range dt.History() {
+		switch rec.Action {
+		case core.ActionSkip, core.ActionError:
+			continue
+		}
+		if rec.Action == core.ActionNoData && !rec.DataTS.After(last) {
+			continue
+		}
+		if !last.IsZero() && !rec.DataTS.After(last) {
+			return fmt.Errorf("%s refresh %d regressed data timestamp %s -> %s",
+				dt.Name, i, last, rec.DataTS)
+		}
+		last = rec.DataTS
+	}
+	return nil
+}
+
+// lagWithinTarget checks the liveness property the scheduler aims for:
+// the DT's lag does not exceed its target lag plus slack (which covers
+// the time between scheduler runs). DOWNSTREAM DTs have no target of
+// their own (§3.2).
+func lagWithinTarget(dt *core.DynamicTable, now time.Time, slack time.Duration) error {
+	if dt.Lag.Kind == sql.LagDownstream {
+		return nil
+	}
+	if lag := dt.CurrentLag(now); lag > dt.Lag.Duration+slack {
+		return fmt.Errorf("%s lag %v exceeds target %v (+%v slack)", dt.Name, lag, dt.Lag.Duration, slack)
 	}
 	return nil
 }

@@ -202,12 +202,22 @@ func AggregateColumnar(a *plan.Aggregate, in *ColumnarRows, affected map[string]
 // nothing, where the row loop pays a group-values row, a key buffer and
 // a key string per input row.
 func aggregateBatch(a *plan.Aggregate, in *batchRes, affected map[string]bool, ctx *Context) ([]TRow, error) {
+	groups, order, err := aggregateBatchGroups(a, in, affected, ctx)
+	if err != nil {
+		return nil, err
+	}
+	return finalizeGroups(a, groups, order), nil
+}
+
+// aggregateBatchGroups is aggregateBatch's loop; it returns the groups
+// and their first-seen order.
+func aggregateBatchGroups(a *plan.Aggregate, in *batchRes, affected map[string]bool, ctx *Context) (map[string]*AggGroup, []string, error) {
 	ev := ctx.eval()
 	keys := make([]*types.Vector, len(a.GroupBy))
 	for i, g := range a.GroupBy {
 		v, err := plan.EvalVec(g, in.b, in.sel, ev)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		keys[i] = v
 	}
@@ -218,19 +228,19 @@ func aggregateBatch(a *plan.Aggregate, in *batchRes, affected map[string]bool, c
 		}
 		v, err := plan.EvalVec(agg.Arg, in.b, in.sel, ev)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		args[i] = v
 	}
 
-	groups := make(map[string]*aggGroup)
+	groups := make(map[string]*AggGroup)
 	order := []string{}
 	var buf []byte
 	n := in.len()
 	ticks := 0
 	for i := 0; i < n; i++ {
 		if err := ctx.tick(&ticks); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		buf = buf[:0]
 		for _, kv := range keys {
@@ -250,17 +260,18 @@ func aggregateBatch(a *plan.Aggregate, in *batchRes, affected map[string]bool, c
 			groups[key] = grp
 			order = append(order, key)
 		}
-		for k, acc := range grp.accs {
+		grp.rows++
+		for k := range grp.accs {
 			var v types.Value
 			if args[k] != nil {
 				v = args[k].Value(i)
 			}
-			if err := acc.addValue(v); err != nil {
-				return nil, err
+			if err := grp.accs[k].addValue(v); err != nil {
+				return nil, nil, err
 			}
 		}
 	}
-	return finalizeGroups(a, groups, order), nil
+	return groups, order, nil
 }
 
 // batchIter adapts a columnar result to the pull-based cursor protocol,

@@ -30,7 +30,7 @@ type TRow struct {
 // them to compare differentiation strategies without depending on
 // wall-clock noise.
 type Counters struct {
-	ScanRows     int64 // rows produced by Scan nodes
+	ScanRows     int64 // rows produced by Scan nodes, plus input changes an IVM aggregate fold reads
 	ScanCalls    int64 // number of Scan node executions
 	ScanBytes    int64 // estimated bytes of rows produced by Scan nodes
 	JoinProbes   int64
@@ -425,13 +425,16 @@ type accumulator struct {
 	sumInt   int64
 	sumFloat float64
 	isFloat  bool
+	// wide counts integer SUM/AVG inputs beyond ±2^31 — the signal that
+	// an AVG's float sum may not be exact (see AggGroup.Render).
+	wide     int64
 	min, max types.Value
 	any      types.Value
 	distinct map[string]bool
 }
 
-func newAccumulator(agg plan.AggExpr) *accumulator {
-	acc := &accumulator{agg: agg, min: types.Null, max: types.Null, any: types.Null}
+func newAccumulator(agg plan.AggExpr) accumulator {
+	acc := accumulator{agg: agg, min: types.Null, max: types.Null, any: types.Null}
 	if agg.Distinct {
 		acc.distinct = make(map[string]bool)
 	}
@@ -491,6 +494,9 @@ func (a *accumulator) addValue(v types.Value) error {
 		} else {
 			a.sumInt += v.Int()
 			a.sumFloat += v.AsFloat()
+			if wideInt(v.Int()) {
+				a.wide++
+			}
 		}
 	case plan.AggMin, plan.AggMax:
 		if v.IsNull() {
@@ -569,15 +575,17 @@ func runAggregate(a *plan.Aggregate, ctx *Context) ([]TRow, error) {
 	return AggregateRows(a, in, ctx)
 }
 
-// aggGroup is one group's in-flight state during aggregation, shared by
-// the row and columnar aggregation loops.
-type aggGroup struct {
+// AggGroup is one group's aggregation state, shared by the row and
+// columnar aggregation loops. For foldable aggregates it doubles as the
+// per-group state IVM maintains across refreshes (see fold.go).
+type AggGroup struct {
 	vals types.Row
-	accs []*accumulator
+	rows int64
+	accs []accumulator
 }
 
-func newAggGroup(a *plan.Aggregate, vals types.Row) *aggGroup {
-	grp := &aggGroup{vals: vals, accs: make([]*accumulator, len(a.Aggs))}
+func newAggGroup(a *plan.Aggregate, vals types.Row) *AggGroup {
+	grp := &AggGroup{vals: vals, accs: make([]accumulator, len(a.Aggs))}
 	for i, agg := range a.Aggs {
 		grp.accs[i] = newAccumulator(agg)
 	}
@@ -587,18 +595,18 @@ func newAggGroup(a *plan.Aggregate, vals types.Row) *aggGroup {
 // finalizeGroups renders the accumulated groups to output rows in
 // first-seen order. A global aggregate (no GROUP BY) over empty input
 // yields one row.
-func finalizeGroups(a *plan.Aggregate, groups map[string]*aggGroup, order []string) []TRow {
+func finalizeGroups(a *plan.Aggregate, groups map[string]*AggGroup, order []string) []TRow {
 	if len(a.GroupBy) == 0 && len(groups) == 0 {
 		groups[""] = newAggGroup(a, nil)
 		order = append(order, "")
 	}
-	out := make([]TRow, 0, len(groups))
+	out := make([]TRow, 0, len(order))
 	for _, key := range order {
 		grp := groups[key]
 		row := make(types.Row, 0, len(a.GroupBy)+len(a.Aggs))
 		row = append(row, grp.vals...)
-		for _, acc := range grp.accs {
-			row = append(row, acc.result())
+		for i := range grp.accs {
+			row = append(row, grp.accs[i].result())
 		}
 		out = append(out, TRow{ID: GroupRowID(key), Row: row})
 	}
@@ -608,21 +616,31 @@ func finalizeGroups(a *plan.Aggregate, groups map[string]*aggGroup, order []stri
 // AggregateRows aggregates pre-computed input rows; reused by the IVM
 // affected-group recompute rule.
 func AggregateRows(a *plan.Aggregate, in []TRow, ctx *Context) ([]TRow, error) {
+	groups, order, err := aggregateRowGroups(a, in, ctx)
+	if err != nil {
+		return nil, err
+	}
+	return finalizeGroups(a, groups, order), nil
+}
+
+// aggregateRowGroups is the row-at-a-time aggregation loop; it returns
+// the groups and their first-seen order.
+func aggregateRowGroups(a *plan.Aggregate, in []TRow, ctx *Context) (map[string]*AggGroup, []string, error) {
 	ev := ctx.eval()
-	groups := make(map[string]*aggGroup)
+	groups := make(map[string]*AggGroup)
 	order := []string{}
 
 	ticks := 0
 	for _, tr := range in {
 		if err := ctx.tick(&ticks); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		vals := make(types.Row, len(a.GroupBy))
 		var buf []byte
 		for i, g := range a.GroupBy {
 			v, err := plan.Eval(g, tr.Row, ev)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			vals[i] = v
 			buf = normalizeKeyValue(v).EncodeKey(buf)
@@ -634,13 +652,14 @@ func AggregateRows(a *plan.Aggregate, in []TRow, ctx *Context) ([]TRow, error) {
 			groups[key] = grp
 			order = append(order, key)
 		}
-		for _, acc := range grp.accs {
-			if err := acc.add(tr.Row, ev); err != nil {
-				return nil, err
+		grp.rows++
+		for i := range grp.accs {
+			if err := grp.accs[i].add(tr.Row, ev); err != nil {
+				return nil, nil, err
 			}
 		}
 	}
-	return finalizeGroups(a, groups, order), nil
+	return groups, order, nil
 }
 
 // GroupRowID derives the stable row ID for an aggregate output row from

@@ -13,8 +13,19 @@
 //   - outer joins have a direct derivative that shares boundary
 //     evaluations (§5.5.1), with the inner+anti-join expansion kept as an
 //     ablation strategy whose subplan duplication grows exponentially;
-//   - grouped aggregation and DISTINCT recompute affected groups:
-//     Δγ(Q) = −γ(Q₀ ⋉ₖ ΔQ) + γ(Q₁ ⋉ₖ ΔQ);
+//   - grouped aggregates of only non-DISTINCT COUNT(*), COUNT(x),
+//     COUNT_IF and SUM/AVG over non-float input, grouped by non-float,
+//     non-variant keys, fold ΔQ into per-group state (row count,
+//     non-NULL counts, exact int64 sums): each touched group's old row is
+//     deleted and its new row inserted, with no boundary evaluation. The
+//     state (AggState) is one entry per group per aggregate node, held in
+//     memory by the caller and tagged with the version map it describes;
+//   - every other grouped aggregation, a state miss (no state yet, as on
+//     the first incremental refresh after creation, recovery or a full
+//     recompute; a tag other than the interval start; a float value in
+//     the delta), and DISTINCT recompute affected groups:
+//     Δγ(Q) = −γ(Q₀ ⋉ₖ ΔQ) + γ(Q₁ ⋉ₖ ΔQ), reseeding a foldable
+//     aggregate's state from the Q₁ side;
 //   - window functions recompute affected partitions:
 //     Δξ(Q) = π₋(ξ(Q₀ ⋉ₖ ΔQ)) + π₊(ξ(Q₁ ⋉ₖ ΔQ)) (§5.5.1).
 package ivm
@@ -67,8 +78,12 @@ type Stats struct {
 	// PartitionsTotal counts window partitions present at the interval
 	// end (for comparison with PartitionsRecomputed).
 	PartitionsTotal int64
-	// GroupsRecomputed counts aggregate groups recomputed.
+	// GroupsRecomputed counts aggregate groups recomputed from boundary
+	// snapshots.
 	GroupsRecomputed int64
+	// GroupsFolded counts aggregate groups maintained by folding the
+	// input delta into per-group state, without boundary snapshots.
+	GroupsFolded int64
 	// RowsEmitted counts change rows produced before consolidation.
 	RowsEmitted int64
 	// ConsolidationElided counts refreshes that skipped the final
@@ -111,11 +126,21 @@ type Env struct {
 	// it).
 	Columnar bool
 
+	// AggState, when non-nil, holds the per-group state that lets
+	// foldable aggregates fold their input delta instead of recomputing
+	// affected groups. Delta reads the installed state and stages its
+	// updates there; the caller installs them after its merge commits.
+	// Nil keeps every aggregate on the recompute rule.
+	AggState *AggState
+
 	// sem caps in-flight parallel branches across the whole plan, so a
 	// deep join tree cannot fan out more than Parallelism-1 extra
 	// goroutines. Created once at the Delta entry point and shared by
 	// child environments.
 	sem chan struct{}
+	// aggIDs identifies the plan's aggregate nodes in AggState; set at
+	// the Delta entry point when AggState is non-nil.
+	aggIDs map[*plan.Aggregate]int
 }
 
 func (e *Env) stats(f func(*Stats)) {
@@ -135,7 +160,9 @@ func (e *Env) child() *Env {
 		FullWindowRecompute: e.FullWindowRecompute,
 		Span:                e.Span,
 		Columnar:            e.Columnar,
+		AggState:            e.AggState,
 		sem:                 e.sem,
+		aggIDs:              e.aggIDs,
 	}
 	if e.Counters != nil {
 		c.Counters = &exec.Counters{}
@@ -161,6 +188,7 @@ func (s *Stats) merge(o *Stats) {
 	s.PartitionsRecomputed += o.PartitionsRecomputed
 	s.PartitionsTotal += o.PartitionsTotal
 	s.GroupsRecomputed += o.GroupsRecomputed
+	s.GroupsFolded += o.GroupsFolded
 	s.RowsEmitted += o.RowsEmitted
 	s.ConsolidationElided += o.ConsolidationElided
 }
@@ -304,6 +332,10 @@ func Delta(n plan.Node, iv Interval, env *Env) (delta.ChangeSet, error) {
 	}
 	if env.Span != nil {
 		defer env.Span("ivm.delta")()
+	}
+	if env.AggState != nil {
+		env.AggState.Discard()
+		env.aggIDs = aggregateIDs(n)
 	}
 	rows, err := deltaRec(n, iv, env)
 	if err != nil {
@@ -1095,16 +1127,45 @@ func deltaAntiJoinRecompute(j *plan.Join, iv Interval, env *Env, preservedLeft b
 // aggregation, distinct, window
 // ---------------------------------------------------------------------------
 
-// deltaAggregate recomputes affected groups:
-// Δγ(Q) = −γ(Q₀ ⋉ₖ keys(ΔQ)) + γ(Q₁ ⋉ₖ keys(ΔQ)).
+// deltaAggregate maintains a grouped aggregate. Foldable aggregates
+// (exec.Foldable) whose state describes the interval start fold the input
+// delta into per-group state: each touched group's old row is deleted
+// and its new row inserted, with no boundary evaluation. Everything else,
+// and every state miss, recomputes affected groups:
+// Δγ(Q) = −γ(Q₀ ⋉ₖ keys(ΔQ)) + γ(Q₁ ⋉ₖ keys(ΔQ)),
+// reseeding a foldable aggregate's state from the Q₁ side.
 func deltaAggregate(a *plan.Aggregate, iv Interval, env *Env) ([]signedRow, error) {
 	din, err := deltaRec(a.Input, iv, env)
 	if err != nil {
 		return nil, err
 	}
+	fold := env.AggState != nil && exec.Foldable(a)
+	node := env.aggIDs[a]
+	var state map[string]*exec.AggGroup
+	if fold {
+		state = env.AggState.lookup(node, iv.From)
+	}
 	if len(din) == 0 {
+		if state != nil {
+			// Unchanged input: the state describes the interval end too.
+			env.AggState.stage(node, aggUpdate{tag: iv.To})
+		}
 		return nil, nil
 	}
+	if state != nil {
+		if out, changed, ok := foldAggregate(a, state, din, env); ok {
+			env.AggState.stage(node, aggUpdate{tag: iv.To, groups: changed})
+			env.stats(func(s *Stats) { s.GroupsFolded += int64(len(changed)) })
+			if env.Counters != nil {
+				// The fold reads each input change once; charge those
+				// rows as the recompute rule is charged for its
+				// snapshot rows, so refresh cost tracks the change.
+				env.Counters.ScanRows += int64(len(din))
+			}
+			return out, nil
+		}
+	}
+
 	affected := make(map[string]bool)
 	for _, sr := range din {
 		key, _, err := exec.EvalKey(a.GroupBy, sr.Row, env.Now)
@@ -1113,11 +1174,17 @@ func deltaAggregate(a *plan.Aggregate, iv Interval, env *Env) ([]signedRow, erro
 		}
 		affected[key] = true
 	}
-	env.stats(func(s *Stats) { s.GroupsRecomputed += int64(len(affected)) })
-
-	old, cur, n0, n1, err := aggregateBoundaries(a, iv, affected, env)
+	old, cur, n0, n1, seed, err := aggregateBoundaries(a, iv, affected, fold, env)
 	if err != nil {
 		return nil, err
+	}
+	env.stats(func(s *Stats) { s.GroupsRecomputed += int64(len(affected)) })
+	if fold {
+		if seed == nil {
+			env.AggState.stage(node, aggUpdate{})
+		} else {
+			env.AggState.stage(node, aggUpdate{tag: iv.To, groups: seed, replace: true})
+		}
 	}
 
 	// Scalar aggregates materialize a row even over empty input; only
@@ -1146,8 +1213,10 @@ func deltaAggregate(a *plan.Aggregate, iv Interval, env *Env) ([]signedRow, erro
 // snapshots materialize and a row-at-a-time restrict feeds
 // AggregateRows. n0/n1 count the restricted input rows (the scalar
 // aggregate guard's signal; the columnar path handles grouped
-// aggregates only, where the guard is vacuous).
-func aggregateBoundaries(a *plan.Aggregate, iv Interval, affected map[string]bool, env *Env) (old, cur []exec.TRow, n0, n1 int, err error) {
+// aggregates only, where the guard is vacuous). With seed set (a
+// foldable aggregate), the end side aggregates every group and returns
+// their fold state, nil when some group cannot be folded.
+func aggregateBoundaries(a *plan.Aggregate, iv Interval, affected map[string]bool, seed bool, env *Env) (old, cur []exec.TRow, n0, n1 int, state map[string]*exec.AggGroup, err error) {
 	if len(a.GroupBy) > 0 && env.Columnar {
 		var h0, h1 bool
 		err := runPar(env,
@@ -1170,22 +1239,26 @@ func aggregateBoundaries(a *plan.Aggregate, iv Interval, affected map[string]boo
 				}
 				h1 = true
 				e.stats(func(s *Stats) { s.SubplanSnapshotEvals++ })
-				cur, err = exec.AggregateColumnar(a, cr, affected, ctx)
+				if seed {
+					cur, state, err = exec.AggregateColumnarState(a, cr, affected, ctx)
+				} else {
+					cur, err = exec.AggregateColumnar(a, cr, affected, ctx)
+				}
 				return err
 			})
 		if err != nil {
-			return nil, nil, 0, 0, err
+			return nil, nil, 0, 0, nil, err
 		}
 		if h0 && h1 {
-			return old, cur, 0, 0, nil
+			return old, cur, 0, 0, state, nil
 		}
 		// Not batchable (or columnar off): fall through to the row path.
-		old, cur = nil, nil
+		old, cur, state = nil, nil, nil
 	}
 
 	q0, q1, err := snapshotBoundaries(a.Input, iv, env)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, 0, 0, nil, err
 	}
 	restrict := func(rows []exec.TRow) ([]exec.TRow, error) {
 		var out []exec.TRow
@@ -1200,24 +1273,26 @@ func aggregateBoundaries(a *plan.Aggregate, iv Interval, affected map[string]boo
 		}
 		return out, nil
 	}
+	ctx := &exec.Context{Now: env.Now, Counters: env.Counters}
 	in0, err := restrict(q0)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, 0, 0, nil, err
+	}
+	if old, err = exec.AggregateRows(a, in0, ctx); err != nil {
+		return nil, nil, 0, 0, nil, err
+	}
+	if seed {
+		cur, state, err = exec.AggregateRowsState(a, q1, affected, ctx)
+		return old, cur, len(in0), 0, state, err
 	}
 	in1, err := restrict(q1)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, 0, 0, nil, err
 	}
-	ctx := &exec.Context{Now: env.Now, Counters: env.Counters}
-	old, err = exec.AggregateRows(a, in0, ctx)
-	if err != nil {
-		return nil, nil, 0, 0, err
+	if cur, err = exec.AggregateRows(a, in1, ctx); err != nil {
+		return nil, nil, 0, 0, nil, err
 	}
-	cur, err = exec.AggregateRows(a, in1, ctx)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	return old, cur, len(in0), len(in1), nil
+	return old, cur, len(in0), len(in1), nil, nil
 }
 
 // deltaDistinct treats DISTINCT as grouping on every column.

@@ -727,10 +727,11 @@ func (p *Parser) parseAlterSystem() (Statement, error) {
 	if err := p.expect("="); err != nil {
 		return nil, err
 	}
-	t := p.next()
+	t := p.peek()
 	if t.Kind != TokNumber {
 		return nil, p.errorf("expected integer value for %s, found %q", param, t.Text)
 	}
+	p.next()
 	v, err := strconv.ParseInt(t.Text, 10, 64)
 	if err != nil {
 		return nil, p.errorf("invalid value %q for %s", t.Text, param)

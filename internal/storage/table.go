@@ -864,6 +864,11 @@ func (t *Table) Compact(horizon int64) (int64, int64, error) {
 			}
 		}
 	}
+	// The tip batch goes stale once newer versions commit; below the
+	// horizon it is unreadable and would pin rows deleted since.
+	if t.batchTip != nil && t.batchTipSeq < h {
+		t.batchTip = nil
+	}
 	for seq := range t.batchCache {
 		if seq < h {
 			delete(t.batchCache, seq)
