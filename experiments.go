@@ -1690,20 +1690,6 @@ func RunAdaptiveBench() (*AdaptiveBenchResult, error) {
 // helpers
 // ---------------------------------------------------------------------------
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // SortedOperatorCounts renders operator counts deterministically.
 func SortedOperatorCounts(counts map[string]int) []string {
 	keys := make([]string, 0, len(counts))

@@ -2,17 +2,21 @@ package exec
 
 import (
 	"fmt"
+	"time"
 
 	"dyntables/internal/plan"
 	"dyntables/internal/types"
 )
 
-// This file implements the columnar fast path: Scan→Filter→Project→Limit
+// This file implements the columnar path: Scan→Filter→Project→Limit
 // chains execute over shared, version-cached column batches with
-// vectorized predicates and projections, and materialize to []TRow only
-// at the boundary to a row-at-a-time operator (join, aggregate, window,
-// sort, ...). Operators outside those chains run the legacy row path
-// unchanged, which the differential harness holds byte-equivalent.
+// vectorized predicates and projections. Stream hands such a chain to a
+// batchIter, and an Aggregate above one folds the batch directly; rows
+// materialize to []TRow only at the boundary to another row operator
+// (join, window, sort, ...). With Context.Stats set, runBatch records
+// every node of the chain, so EXPLAIN ANALYZE times the path the query
+// really runs. The differential harness holds the columnar and row paths
+// byte-equivalent.
 
 // batchRes is a columnar intermediate result: a (possibly shared) batch
 // plus a selection of surviving row indices; a nil selection means every
@@ -76,19 +80,22 @@ func batchable(n plan.Node) bool {
 	}
 }
 
-// useBatches reports whether the columnar path is available and
-// applicable for this execution (EXPLAIN ANALYZE keeps the row path so
-// per-operator stats stay complete).
-func (c *Context) useBatches() bool {
-	return c.BatchOf != nil && c.Stats == nil
-}
-
-// runBatch executes a batchable subtree on the columnar path.
-func runBatch(n plan.Node, ctx *Context) (*batchRes, error) {
+// runBatch executes a batchable subtree on the columnar path, recording
+// each node's rows and inclusive time when stats are collected.
+func runBatch(n plan.Node, ctx *Context) (res *batchRes, err error) {
 	if err := ctx.canceled(); err != nil {
 		return nil, err
 	}
-	ctx.count(func(c *Counters) { c.NodesVisited++ })
+	if ctx.Stats != nil {
+		start := time.Now()
+		defer func() {
+			rows := 0
+			if res != nil {
+				rows = res.len()
+			}
+			ctx.Stats.add(n, int64(rows), time.Since(start), true)
+		}()
+	}
 	switch x := n.(type) {
 	case *plan.Scan:
 		b, err := ctx.BatchOf(x)
@@ -96,7 +103,6 @@ func runBatch(n plan.Node, ctx *Context) (*batchRes, error) {
 			return nil, err
 		}
 		if ctx.Counters != nil {
-			ctx.Counters.ScanCalls++
 			ctx.Counters.ScanRows += int64(b.Len())
 			ctx.Counters.ScanBytes += b.ApproxBytes()
 		}
@@ -176,7 +182,7 @@ func (c *ColumnarRows) Len() int { return c.res.len() }
 // whether the columnar path ran at all: when false, no work was done and
 // the caller must fall back to Run.
 func RunColumnar(n plan.Node, ctx *Context) (_ *ColumnarRows, handled bool, _ error) {
-	if !ctx.useBatches() || !batchable(n) {
+	if ctx.BatchOf == nil || !batchable(n) {
 		return nil, false, nil
 	}
 	res, err := runBatch(n, ctx)
@@ -275,38 +281,44 @@ func aggregateBatchGroups(a *plan.Aggregate, in *batchRes, affected map[string]b
 }
 
 // batchIter adapts a columnar result to the pull-based cursor protocol,
-// deferring execution to the first Next like deferredIter so statement
-// errors surface on the first row, not at open.
+// running the chain on first Next like sliceIter so statement errors
+// surface on the first row, not at open.
 type batchIter struct {
-	n   plan.Node
-	ctx *Context
+	n      plan.Node
+	ctx    *Context
+	res    *batchRes
+	rows   []types.Row
+	i      int
+	closed bool
+}
 
-	started bool
-	err     error
-	res     *batchRes
-	rows    []types.Row
-	i       int
+// open runs the chain once; a failed run closes the iterator.
+func (it *batchIter) open() error {
+	if it.res != nil {
+		return nil
+	}
+	res, err := runBatch(it.n, it.ctx)
+	if err != nil {
+		it.Close()
+		return err
+	}
+	it.res, it.rows = res, res.b.Rows()
+	return nil
 }
 
 // Next implements RowIter.
 func (it *batchIter) Next() (TRow, bool, error) {
-	if !it.started {
-		it.started = true
-		res, err := runBatch(it.n, it.ctx)
-		if err != nil {
-			it.err = err
-		} else {
-			it.res = res
-			it.rows = res.b.Rows()
-		}
+	if it.closed {
+		return TRow{}, false, nil
 	}
-	if it.err != nil {
-		return TRow{}, false, it.err
+	if err := it.open(); err != nil {
+		return TRow{}, false, err
 	}
 	if it.i >= it.res.len() {
 		return TRow{}, false, nil
 	}
 	if err := it.ctx.canceled(); err != nil {
+		it.Close()
 		return TRow{}, false, err
 	}
 	idx := it.res.at(it.i)
@@ -314,5 +326,18 @@ func (it *batchIter) Next() (TRow, bool, error) {
 	return TRow{ID: it.res.b.ID(idx), Row: it.rows[idx]}, true, nil
 }
 
-// Close implements RowIter.
-func (it *batchIter) Close() {}
+func (it *batchIter) collect() ([]TRow, error) {
+	if it.closed {
+		return nil, nil
+	}
+	if err := it.open(); err != nil {
+		return nil, err
+	}
+	rows := it.res.materialize()[it.i:]
+	it.i = it.res.len()
+	return rows, nil
+}
+
+// Close implements RowIter: it releases the batch, and later Next calls
+// report exhaustion.
+func (it *batchIter) Close() { it.closed = true; it.res = nil; it.rows = nil }

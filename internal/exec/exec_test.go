@@ -103,7 +103,31 @@ func (h *harness) run(query string) []exec.TRow {
 	return rows
 }
 
+// tryRun plans a SELECT and executes it on both executor paths: the row
+// pipeline (RowsOf only) and the columnar one (BatchOf set). The two must
+// agree on the outcome and on every row and row ID; the row path's
+// result is returned.
 func (h *harness) tryRun(query string) ([]exec.TRow, error) {
+	h.t.Helper()
+	p, err := h.plan(query)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := exec.Run(p, h.context(false))
+	crows, cerr := exec.Run(p, h.context(true))
+	if (err == nil) != (cerr == nil) {
+		h.t.Fatalf("%s: row path error %v, columnar path error %v", query, err, cerr)
+	}
+	if err == nil {
+		if got, want := renderWithIDs(crows), renderWithIDs(rows); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			h.t.Fatalf("%s: columnar path\n%v\nrow path\n%v", query, got, want)
+		}
+	}
+	return rows, err
+}
+
+// plan parses, binds and optimizes a SELECT.
+func (h *harness) plan(query string) (plan.Node, error) {
 	stmt, err := sql.Parse(query)
 	if err != nil {
 		return nil, err
@@ -116,14 +140,34 @@ func (h *harness) tryRun(query string) ([]exec.TRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := plan.Optimize(bound.Plan)
+	return plan.Optimize(bound.Plan), nil
+}
+
+// context builds an execution context over the tables' latest versions;
+// columnar adds BatchOf, enabling the columnar path.
+func (h *harness) context(columnar bool) *exec.Context {
 	ctx := &exec.Context{
 		RowsOf: func(s *plan.Scan) (map[string]types.Row, error) {
 			return s.Table.Rows(int64(s.Table.VersionCount()))
 		},
 		Now: time.Date(2025, 4, 1, 12, 0, 0, 0, time.UTC),
 	}
-	return exec.Run(p, ctx)
+	if columnar {
+		ctx.BatchOf = func(s *plan.Scan) (*types.Batch, error) {
+			return s.Table.Batch(int64(s.Table.VersionCount()))
+		}
+	}
+	return ctx
+}
+
+// renderWithIDs renders rows with their IDs, sorted for comparison.
+func renderWithIDs(rows []exec.TRow) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r.ID + " " + r.Row.String()
+	}
+	sort.Strings(out)
+	return out
 }
 
 // sortedRender renders rows sorted for comparison.

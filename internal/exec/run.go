@@ -1,9 +1,10 @@
-// Package exec evaluates bound query plans: Run materializes a plan's
-// full result, Collect/Stream drive the pull-based iterator the session
-// cursors wrap (context-cancelable, one row at a time over pinned
-// source versions). The executor is deliberately plain — nested-loop
-// joins, hash aggregation, full sorts — because the engine's focus is
-// refresh semantics, not single-query speed.
+// Package exec evaluates bound query plans. Stream builds the one
+// pull-based row pipeline (context-cancelable, over pinned source
+// versions) that session cursors wrap; Run collects it into a slice.
+// Scan→Filter→Project→Limit chains run on the columnar path (batch.go)
+// when the context supplies batches. The executor is deliberately plain —
+// nested-loop joins, hash aggregation, full sorts — because the engine's
+// focus is refresh semantics, not single-query speed.
 package exec
 
 import (
@@ -26,16 +27,12 @@ type TRow struct {
 	Row types.Row
 }
 
-// Counters collects execution statistics; the IVM ablation benches use
-// them to compare differentiation strategies without depending on
-// wall-clock noise.
+// Counters collects scan work: the refresh controller charges it to a
+// refresh's resource record and cost model, and the benchmark probes
+// report it per statement.
 type Counters struct {
-	ScanRows     int64 // rows produced by Scan nodes, plus input changes an IVM aggregate fold reads
-	ScanCalls    int64 // number of Scan node executions
-	ScanBytes    int64 // estimated bytes of rows produced by Scan nodes
-	JoinProbes   int64
-	OutputRows   int64
-	NodesVisited int64
+	ScanRows  int64 // rows produced by Scan nodes, plus input changes an IVM aggregate fold reads
+	ScanBytes int64 // estimated bytes of rows produced by Scan nodes
 }
 
 // Merge folds another counter set into c. Parallel differentiation gives
@@ -43,11 +40,7 @@ type Counters struct {
 // the fields stay plain int64s on the sequential fast path.
 func (c *Counters) Merge(o *Counters) {
 	c.ScanRows += o.ScanRows
-	c.ScanCalls += o.ScanCalls
 	c.ScanBytes += o.ScanBytes
-	c.JoinProbes += o.JoinProbes
-	c.OutputRows += o.OutputRows
-	c.NodesVisited += o.NodesVisited
 }
 
 // Context supplies the executor's environment.
@@ -58,7 +51,7 @@ type Context struct {
 	// BatchOf, when non-nil, returns the pinned contents for a scan as a
 	// shared columnar batch (sorted by row ID), enabling the vectorized
 	// Scan→Filter→Project→Limit fast path. Scans outside batchable
-	// chains, and executions collecting per-node stats, use RowsOf.
+	// chains use RowsOf.
 	BatchOf func(s *plan.Scan) (*types.Batch, error)
 	// Now is CURRENT_TIMESTAMP for this execution.
 	Now time.Time
@@ -69,8 +62,9 @@ type Context struct {
 	// Ctx, when non-nil, cancels execution: operators check it between
 	// rows and abort with its error.
 	Ctx context.Context
-	// Stats, when non-nil, collects per-plan-node rows and wall time
-	// (EXPLAIN ANALYZE); nil — the common case — costs nothing.
+	// Stats, when non-nil, collects per-plan-node rows, loops and wall
+	// time (EXPLAIN ANALYZE) on whichever path runs the node; nil — the
+	// common case — costs nothing.
 	Stats *NodeStats
 }
 
@@ -100,142 +94,10 @@ func (c *Context) tick(n *int) error {
 	return nil
 }
 
-func (c *Context) count(f func(*Counters)) {
-	if c.Counters != nil {
-		f(c.Counters)
-	}
-}
-
 // Run executes a logical plan and returns the result rows with derived row
 // IDs. Result order is unspecified except beneath Sort.
 func Run(n plan.Node, ctx *Context) ([]TRow, error) {
-	if ctx.Stats == nil {
-		return runNode(n, ctx)
-	}
-	start := time.Now()
-	rows, err := runNode(n, ctx)
-	ctx.Stats.observe(n, int64(len(rows)), time.Since(start))
-	return rows, err
-}
-
-// runNode dispatches one plan node; Run wraps it with the optional
-// per-node stats observation.
-func runNode(n plan.Node, ctx *Context) ([]TRow, error) {
-	if err := ctx.canceled(); err != nil {
-		return nil, err
-	}
-	if ctx.useBatches() && batchable(n) {
-		res, err := runBatch(n, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return res.materialize(), nil
-	}
-	ctx.count(func(c *Counters) { c.NodesVisited++ })
-	switch x := n.(type) {
-	case *plan.Scan:
-		return runScan(x, ctx)
-	case *plan.Filter:
-		return runFilter(x, ctx)
-	case *plan.Project:
-		return runProject(x, ctx)
-	case *plan.Join:
-		return runJoin(x, ctx)
-	case *plan.Aggregate:
-		return runAggregate(x, ctx)
-	case *plan.Window:
-		return runWindow(x, ctx)
-	case *plan.UnionAll:
-		return runUnionAll(x, ctx)
-	case *plan.Distinct:
-		return runDistinct(x, ctx)
-	case *plan.Flatten:
-		return runFlatten(x, ctx)
-	case *plan.Sort:
-		return runSort(x, ctx)
-	case *plan.Limit:
-		return runLimit(x, ctx)
-	case *plan.Values:
-		return runValues(x, ctx)
-	default:
-		return nil, fmt.Errorf("exec: unsupported plan node %T", n)
-	}
-}
-
-func runScan(s *plan.Scan, ctx *Context) ([]TRow, error) {
-	rows, err := ctx.RowsOf(s)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]TRow, 0, len(rows))
-	for id, r := range rows {
-		out = append(out, TRow{ID: id, Row: r})
-	}
-	if ctx.Counters != nil {
-		ctx.Counters.ScanCalls++
-		ctx.Counters.ScanRows += int64(len(out))
-		ctx.Counters.ScanBytes += approxRowsBytes(out)
-	}
-	return out, nil
-}
-
-// approxRowsBytes estimates the in-memory size of scanned rows — the
-// executor's bytes-processed accounting signal. The walk only runs when
-// counters are attached, so plain statement execution pays nothing.
-func approxRowsBytes(rows []TRow) int64 {
-	var n int64
-	for i := range rows {
-		n += rows[i].Row.ApproxBytes()
-	}
-	return n
-}
-
-func runFilter(f *plan.Filter, ctx *Context) ([]TRow, error) {
-	in, err := Run(f.Input, ctx)
-	if err != nil {
-		return nil, err
-	}
-	ev := ctx.eval()
-	out := in[:0:0]
-	ticks := 0
-	for _, tr := range in {
-		if err := ctx.tick(&ticks); err != nil {
-			return nil, err
-		}
-		ok, err := plan.EvalBool(f.Pred, tr.Row, ev)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, tr)
-		}
-	}
-	return out, nil
-}
-
-func runProject(p *plan.Project, ctx *Context) ([]TRow, error) {
-	in, err := Run(p.Input, ctx)
-	if err != nil {
-		return nil, err
-	}
-	ev := ctx.eval()
-	out := make([]TRow, len(in))
-	ticks := 0
-	for i, tr := range in {
-		if err := ctx.tick(&ticks); err != nil {
-			return nil, err
-		}
-		row := make(types.Row, len(p.Exprs))
-		for j, e := range p.Exprs {
-			v, err := plan.Eval(e, tr.Row, ev)
-			if err != nil {
-				return nil, err
-			}
-			row[j] = v
-		}
-		out[i] = TRow{ID: tr.ID, Row: row}
-	}
-	return out, nil
+	return Collect(Stream(n, ctx))
 }
 
 // normalizeKeyValue reconciles numerically equal values of different kinds
@@ -347,7 +209,6 @@ func JoinRows(j *plan.Join, left, right []TRow, ctx *Context) ([]TRow, error) {
 					if err := ctx.tick(&ticks); err != nil {
 						return nil, err
 					}
-					ctx.count(func(c *Counters) { c.JoinProbes++ })
 					rtr := right[ri]
 					combined := ltr.Row.Concat(rtr.Row)
 					if j.Residual != nil {
@@ -561,7 +422,7 @@ func (a *accumulator) result() types.Value {
 }
 
 func runAggregate(a *plan.Aggregate, ctx *Context) ([]TRow, error) {
-	if ctx.useBatches() && batchable(a.Input) {
+	if ctx.BatchOf != nil && batchable(a.Input) {
 		res, err := runBatch(a.Input, ctx)
 		if err != nil {
 			return nil, err
@@ -966,26 +827,6 @@ func sameOrderKey(a, b []types.Value) bool {
 // remaining operators
 // ---------------------------------------------------------------------------
 
-func runUnionAll(u *plan.UnionAll, ctx *Context) ([]TRow, error) {
-	var out []TRow
-	for i, input := range u.Inputs {
-		rows, err := Run(input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		prefix := "u" + strconv.Itoa(i) + "("
-		for _, tr := range rows {
-			out = append(out, TRow{ID: prefix + tr.ID + ")", Row: tr.Row})
-		}
-	}
-	return out, nil
-}
-
-// UnionBranchID derives the output row ID for branch i of a union.
-func UnionBranchID(i int, id string) string {
-	return "u" + strconv.Itoa(i) + "(" + id + ")"
-}
-
 func runDistinct(d *plan.Distinct, ctx *Context) ([]TRow, error) {
 	in, err := Run(d.Input, ctx)
 	if err != nil {
@@ -1011,14 +852,6 @@ func DistinctRows(in []TRow) ([]TRow, error) {
 		out = append(out, TRow{ID: DistinctRowID(key), Row: tr.Row})
 	}
 	return out, nil
-}
-
-func runFlatten(f *plan.Flatten, ctx *Context) ([]TRow, error) {
-	in, err := Run(f.Input, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return FlattenRows(f, in, ctx)
 }
 
 // FlattenRows unnests pre-computed rows; reused by IVM.
@@ -1095,25 +928,6 @@ func runSort(s *plan.Sort, ctx *Context) ([]TRow, error) {
 	out := make([]TRow, len(rows))
 	for i, r := range rows {
 		out[i] = r.tr
-	}
-	return out, nil
-}
-
-func runLimit(l *plan.Limit, ctx *Context) ([]TRow, error) {
-	in, err := Run(l.Input, ctx)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(in)) > l.N {
-		in = in[:l.N]
-	}
-	return in, nil
-}
-
-func runValues(v *plan.Values, ctx *Context) ([]TRow, error) {
-	out := make([]TRow, len(v.Rows))
-	for i, r := range v.Rows {
-		out[i] = TRow{ID: "v:" + strconv.Itoa(i), Row: r}
 	}
 	return out, nil
 }

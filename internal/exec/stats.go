@@ -43,21 +43,8 @@ func (s *NodeStats) Lookup(n plan.Node) (NodeStat, bool) {
 	return *st, true
 }
 
-func (s *NodeStats) observe(n plan.Node, rows int64, d time.Duration) {
-	s.mu.Lock()
-	st := s.m[n]
-	if st == nil {
-		st = &NodeStat{}
-		s.m[n] = st
-	}
-	st.Rows += rows
-	st.Loops++
-	st.Time += d
-	s.mu.Unlock()
-}
-
-// addRow accumulates streaming-iterator progress: one loop is counted
-// by open (loop=true) and each produced row by rows=1.
+// add accumulates a node's progress: rows produced, wall time, and one
+// loop when loop is set (a cursor's first Next, or a columnar node run).
 func (s *NodeStats) add(n plan.Node, rows int64, d time.Duration, loop bool) {
 	s.mu.Lock()
 	st := s.m[n]
@@ -73,8 +60,8 @@ func (s *NodeStats) add(n plan.Node, rows int64, d time.Duration, loop bool) {
 	s.mu.Unlock()
 }
 
-// statIter wraps a pipelined iterator, attributing rows out and
-// cumulative wall time (inclusive of children) to its plan node.
+// statIter wraps a streamed node's iterator, attributing rows out, one
+// loop and cumulative wall time (inclusive of children) to its plan node.
 type statIter struct {
 	in     RowIter
 	stats  *NodeStats

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"strconv"
 
 	"dyntables/internal/plan"
@@ -15,20 +16,22 @@ type RowIter interface {
 	Close()
 }
 
-// Stream returns a cursor over the plan's result rows. Pipelined operators
-// (Scan, Filter, Project, Limit, UnionAll, Flatten, Values) produce rows
-// incrementally; blocking operators (Join, Aggregate, Window, Sort,
-// Distinct) materialize their input on first Next. Every operator checks
-// ctx.Ctx between rows, so abandoning the cursor via context cancellation
-// stops execution promptly. With ctx.Stats set, every pipelined operator
-// reports rows out and cumulative wall time per plan node (blocking
-// operators report through Run).
+// Stream returns a cursor over the plan's result rows. With ctx.BatchOf
+// set, a batchable subtree (Scan→Filter→Project→Limit) runs on the
+// columnar path. Otherwise pipelined operators (Filter, Project, Limit,
+// UnionAll, Flatten) produce rows incrementally, and Scan and the
+// blocking operators (Join, Aggregate, Window, Sort, Distinct)
+// materialize on first Next. Every operator checks ctx.Ctx between rows, so
+// abandoning the cursor via context cancellation stops execution
+// promptly. With ctx.Stats set, every node reports rows out, loops and
+// cumulative wall time: streamed nodes through statIter, columnar chains
+// node by node inside runBatch.
 func Stream(n plan.Node, ctx *Context) RowIter {
 	it := stream(n, ctx)
 	if ctx.Stats != nil {
-		if _, blocking := it.(*deferredIter); !blocking {
-			// Blocking subtrees are observed node-by-node inside Run;
-			// wrapping the deferred iterator too would double-count.
+		if _, columnar := it.(*batchIter); !columnar {
+			// runBatch already records every node of a columnar chain;
+			// wrapping its cursor too would count the top node twice.
 			return &statIter{in: it, stats: ctx.Stats, n: n}
 		}
 	}
@@ -36,41 +39,66 @@ func Stream(n plan.Node, ctx *Context) RowIter {
 }
 
 func stream(n plan.Node, ctx *Context) RowIter {
-	if ctx.useBatches() && batchable(n) {
-		// Columnar fast path: the whole subtree executes over shared
-		// version batches on first Next and streams the selection.
+	if ctx.BatchOf != nil && batchable(n) {
 		return &batchIter{n: n, ctx: ctx}
 	}
+	deferred := func(fill func() ([]TRow, error)) RowIter {
+		return &sliceIter{fill: fill, ctx: ctx}
+	}
 	switch x := n.(type) {
+	case *plan.Scan:
+		return deferred(func() ([]TRow, error) { return scanRows(x, ctx) })
 	case *plan.Filter:
 		return &filterIter{in: Stream(x.Input, ctx), pred: x.Pred, ctx: ctx, ev: ctx.eval()}
 	case *plan.Project:
 		return &projectIter{in: Stream(x.Input, ctx), exprs: x.Exprs, ctx: ctx, ev: ctx.eval()}
 	case *plan.Limit:
-		return &limitIter{in: Stream(x.Input, ctx), n: x.N, ctx: ctx}
+		return &limitIter{in: Stream(x.Input, ctx), n: x.N}
 	case *plan.UnionAll:
 		return &unionIter{u: x, ctx: ctx}
 	case *plan.Flatten:
 		return &flattenIter{in: Stream(x.Input, ctx), f: x, ctx: ctx}
-	case *plan.Scan:
-		return &scanIter{s: x, ctx: ctx}
 	case *plan.Values:
 		out := make([]TRow, len(x.Rows))
 		for i, r := range x.Rows {
 			out[i] = TRow{ID: "v:" + strconv.Itoa(i), Row: r}
 		}
 		return &sliceIter{rows: out, ctx: ctx}
+	case *plan.Join:
+		return deferred(func() ([]TRow, error) { return runJoin(x, ctx) })
+	case *plan.Aggregate:
+		return deferred(func() ([]TRow, error) { return runAggregate(x, ctx) })
+	case *plan.Window:
+		return deferred(func() ([]TRow, error) { return runWindow(x, ctx) })
+	case *plan.Distinct:
+		return deferred(func() ([]TRow, error) { return runDistinct(x, ctx) })
+	case *plan.Sort:
+		return deferred(func() ([]TRow, error) { return runSort(x, ctx) })
 	default:
-		// Blocking operator: materialize via the recursive executor. The
-		// per-node cancellation check in Run bounds the work done after a
-		// cancellation arrives.
-		return &deferredIter{n: n, ctx: ctx}
+		return deferred(func() ([]TRow, error) {
+			return nil, fmt.Errorf("exec: unsupported plan node %T", n)
+		})
 	}
+}
+
+// materializer is a cursor that can hand over its remaining rows as one
+// slice: rows that already sit in a slice, or are computed all at once,
+// are taken instead of copied row by row.
+type materializer interface {
+	collect() ([]TRow, error)
 }
 
 // Collect drains a cursor into a slice, closing it.
 func Collect(it RowIter) ([]TRow, error) {
 	defer it.Close()
+	if m, ok := it.(materializer); ok {
+		return m.collect()
+	}
+	return drain(it)
+}
+
+// drain pulls a cursor's remaining rows one at a time.
+func drain(it RowIter) ([]TRow, error) {
 	var out []TRow
 	for {
 		tr, ok, err := it.Next()
@@ -84,104 +112,89 @@ func Collect(it RowIter) ([]TRow, error) {
 	}
 }
 
-// sliceIter yields pre-computed rows.
+// sliceIter yields materialized rows. When fill is set it computes them
+// on first Next — a scan or a blocking operator — so statement errors
+// surface on the first row, not at open.
 type sliceIter struct {
-	rows   []TRow
-	pos    int
-	ctx    *Context
-	closed bool
+	fill func() ([]TRow, error)
+	rows []TRow
+	pos  int
+	ctx  *Context
+}
+
+// open runs fill once; a failed fill closes the iterator.
+func (it *sliceIter) open() error {
+	fill := it.fill
+	it.fill = nil
+	err := it.ctx.canceled()
+	if err == nil {
+		it.rows, err = fill()
+	}
+	if err != nil {
+		it.Close()
+	}
+	return err
 }
 
 func (it *sliceIter) Next() (TRow, bool, error) {
-	if it.closed || it.pos >= len(it.rows) {
-		return TRow{}, false, nil
-	}
-	if err := it.ctx.canceled(); err != nil {
-		it.Close()
-		return TRow{}, false, err
-	}
-	tr := it.rows[it.pos]
-	it.pos++
-	return tr, true, nil
-}
-
-func (it *sliceIter) Close() { it.closed = true; it.rows = nil }
-
-// deferredIter materializes a blocking operator's output on first Next.
-type deferredIter struct {
-	n      plan.Node
-	ctx    *Context
-	inner  *sliceIter
-	closed bool
-}
-
-func (it *deferredIter) Next() (TRow, bool, error) {
-	if it.closed {
-		return TRow{}, false, nil
-	}
-	if it.inner == nil {
-		rows, err := Run(it.n, it.ctx)
-		if err != nil {
-			it.Close()
+	if it.fill != nil {
+		if err := it.open(); err != nil {
 			return TRow{}, false, err
-		}
-		it.inner = &sliceIter{rows: rows, ctx: it.ctx}
-	}
-	return it.inner.Next()
-}
-
-func (it *deferredIter) Close() {
-	it.closed = true
-	if it.inner != nil {
-		it.inner.Close()
-	}
-}
-
-// scanIter streams a table scan, resolving the pinned contents lazily on
-// first Next.
-type scanIter struct {
-	s      *plan.Scan
-	ctx    *Context
-	rows   []TRow
-	opened bool
-	pos    int
-	closed bool
-}
-
-func (it *scanIter) Next() (TRow, bool, error) {
-	if it.closed {
-		return TRow{}, false, nil
-	}
-	if err := it.ctx.canceled(); err != nil {
-		it.Close()
-		return TRow{}, false, err
-	}
-	if !it.opened {
-		it.opened = true
-		contents, err := it.ctx.RowsOf(it.s)
-		if err != nil {
-			it.Close()
-			return TRow{}, false, err
-		}
-		it.rows = make([]TRow, 0, len(contents))
-		for id, r := range contents {
-			it.rows = append(it.rows, TRow{ID: id, Row: r})
-		}
-		if it.ctx.Counters != nil {
-			it.ctx.Counters.ScanCalls++
-			it.ctx.Counters.ScanRows += int64(len(it.rows))
-			it.ctx.Counters.ScanBytes += approxRowsBytes(it.rows)
 		}
 	}
 	if it.pos >= len(it.rows) {
 		return TRow{}, false, nil
 	}
-	tr := it.rows[it.pos]
+	if err := it.ctx.canceled(); err != nil {
+		it.Close()
+		return TRow{}, false, err
+	}
 	it.pos++
-	return tr, true, nil
+	return it.rows[it.pos-1], true, nil
 }
 
-func (it *scanIter) Close() { it.closed = true; it.rows = nil }
+func (it *sliceIter) collect() ([]TRow, error) {
+	if it.fill != nil {
+		if err := it.open(); err != nil {
+			return nil, err
+		}
+	}
+	rows := it.rows[it.pos:]
+	it.pos = len(it.rows)
+	return rows, nil
+}
+
+// Close implements RowIter: it drops the rows, so later Next calls
+// report exhaustion.
+func (it *sliceIter) Close() { it.fill, it.rows, it.pos = nil, nil, 0 }
+
+// scanRows resolves a scan's pinned contents.
+func scanRows(s *plan.Scan, ctx *Context) ([]TRow, error) {
+	contents, err := ctx.RowsOf(s)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]TRow, 0, len(contents))
+	for id, r := range contents {
+		out = append(out, TRow{ID: id, Row: r})
+	}
+	if ctx.Counters != nil {
+		ctx.Counters.ScanRows += int64(len(out))
+		ctx.Counters.ScanBytes += approxRowsBytes(out)
+	}
+	return out, nil
+}
+
+// approxRowsBytes estimates the in-memory size of scanned rows — the
+// executor's bytes-processed accounting signal. The walk only runs when
+// counters are attached, so plain statement execution pays nothing.
+func approxRowsBytes(rows []TRow) int64 {
+	var n int64
+	for i := range rows {
+		n += rows[i].Row.ApproxBytes()
+	}
+	return n
+}
 
 type filterIter struct {
 	in     RowIter
@@ -238,16 +251,48 @@ func (it *projectIter) Next() (TRow, bool, error) {
 	if err != nil || !ok {
 		return TRow{}, false, err
 	}
+	out, err := it.project(tr)
+	if err != nil {
+		it.Close()
+		return TRow{}, false, err
+	}
+	return out, true, nil
+}
+
+func (it *projectIter) project(tr TRow) (TRow, error) {
 	row := make(types.Row, len(it.exprs))
 	for j, e := range it.exprs {
 		v, err := plan.Eval(e, tr.Row, it.ev)
 		if err != nil {
-			it.Close()
-			return TRow{}, false, err
+			return TRow{}, err
 		}
 		row[j] = v
 	}
-	return TRow{ID: tr.ID, Row: row}, true, nil
+	return TRow{ID: tr.ID, Row: row}, nil
+}
+
+// collect maps a materialized input (a join's or aggregate's output) into
+// one exact-size slice rather than growing one row by row.
+func (it *projectIter) collect() ([]TRow, error) {
+	m, ok := it.in.(materializer)
+	if !ok {
+		return drain(it)
+	}
+	in, err := m.collect()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]TRow, len(in))
+	ticks := 0
+	for i, tr := range in {
+		if err := it.ctx.tick(&ticks); err != nil {
+			return nil, err
+		}
+		if out[i], err = it.project(tr); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 func (it *projectIter) Close() { it.closed = true; it.in.Close() }
@@ -256,7 +301,6 @@ type limitIter struct {
 	in     RowIter
 	n      int64
 	seen   int64
-	ctx    *Context
 	closed bool
 }
 
@@ -315,6 +359,11 @@ func (it *unionIter) Close() {
 		it.cur.Close()
 		it.cur = nil
 	}
+}
+
+// UnionBranchID derives the output row ID for branch i of a union.
+func UnionBranchID(i int, id string) string {
+	return "u" + strconv.Itoa(i) + "(" + id + ")"
 }
 
 // flattenIter unnests variant arrays one input row at a time.

@@ -2,6 +2,7 @@ package dyntables
 
 import (
 	"context"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -240,6 +241,36 @@ func TestExplainSelect(t *testing.T) {
 	for _, want := range []string{"Aggregate", "Scan(events)"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("EXPLAIN output missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestExplainAnalyzeSameOnBothEngines checks that EXPLAIN ANALYZE on the
+// default (columnar) engine reports the same per-node rows and loops as
+// on a DisableColumnar engine, for a Scan→Filter→Project→Limit chain and
+// a GROUP BY above one.
+func TestExplainAnalyzeSameOnBothEngines(t *testing.T) {
+	timing := regexp.MustCompile(` time=[^)]*\)`)
+	for _, q := range []string{
+		`SELECT id, v + 1 FROM events WHERE v > 10 LIMIT 100`,
+		`SELECT id, count(*) FROM (SELECT id, v + 1 AS w FROM events WHERE v > 10 LIMIT 100) s GROUP BY id`,
+	} {
+		var plans []string
+		for _, disable := range []bool{false, true} {
+			_, sess := obsFixture(t, WithConfig(Config{DisableColumnar: disable}))
+			res, err := sess.Exec(`EXPLAIN ANALYZE ` + q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(strings.TrimSpace(explainText(res)), "\n")
+			tree := strings.Join(lines[:len(lines)-1], "\n") // drop the footer
+			if strings.Contains(tree, "never executed") || !strings.Contains(tree, "loops=1") {
+				t.Fatalf("%s (DisableColumnar=%v): unannotated plan:\n%s", q, disable, tree)
+			}
+			plans = append(plans, timing.ReplaceAllString(tree, ")"))
+		}
+		if plans[0] != plans[1] {
+			t.Errorf("%s: columnar engine\n%s\nrow engine\n%s", q, plans[0], plans[1])
 		}
 	}
 }
